@@ -281,8 +281,7 @@ func (s *server) topNSingle(w http.ResponseWriter, r *http.Request, start float6
 	}
 	buf := s.bufs.Get().(*queryBuf)
 	defer s.bufs.Put(buf)
-	gen := s.svc.Generation()
-	items, err := s.svc.TopNInto(int32(user), n, buf.single)
+	items, gen, err := s.svc.TopNIntoGen(int32(user), n, buf.single)
 	if err != nil {
 		s.fail(w, start, http.StatusBadRequest, err)
 		return
@@ -311,8 +310,8 @@ func (s *server) topNBatch(w http.ResponseWriter, r *http.Request, start float64
 	}
 	buf := s.bufs.Get().(*queryBuf)
 	defer s.bufs.Put(buf)
-	gen := s.svc.Generation()
-	if err := s.svc.TopNBatch(req.Users, req.N, buf.rows); err != nil {
+	gen, err := s.svc.TopNBatchGen(req.Users, req.N, buf.rows)
+	if err != nil {
 		s.fail(w, start, http.StatusBadRequest, err)
 		return
 	}

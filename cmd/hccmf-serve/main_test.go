@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"hccmf/internal/mf"
@@ -283,5 +284,135 @@ func TestLoadServeModel(t *testing.T) {
 		if m.P[i] != m2.P[i] {
 			t.Fatal("synthetic model not seeded")
 		}
+	}
+}
+
+// TestTopNGenerationNamesScoringModel runs single and batch queries while
+// reloads swap models underneath them, and requires every response's
+// items to be exactly what the model of its reported generation ranks.
+// Each reload installs a differently scaled model, so no two generations
+// share a score. Run it under -race.
+func TestTopNGenerationNamesScoringModel(t *testing.T) {
+	srv, model, ts := newTestServer(t)
+	const reloads, n = 120, 5
+	models := []*mf.Factors{model} // models[g-1] is generation g
+	for r := 1; r <= reloads; r++ {
+		m := model.Clone()
+		for i := range m.P {
+			m.P[i] *= 1 + float32(r)/64
+		}
+		models = append(models, m)
+	}
+	srv.loadModel = func(path string) (*mf.Factors, error) {
+		var r int
+		if _, err := fmt.Sscanf(path, "m%d", &r); err != nil || r < 1 || r > reloads {
+			return nil, fmt.Errorf("unexpected path %q", path)
+		}
+		return models[r], nil
+	}
+
+	type seen struct {
+		user  int32
+		gen   int64
+		items []recommend.Item
+	}
+	results := make([][]seen, 2)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for iter := 0; ; iter++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				u := int32((g*17 + iter*7) % testUsers)
+				if g == 0 {
+					resp, err := http.Get(fmt.Sprintf("%s/topn?user=%d&n=%d", ts.URL, u, n))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var out topNResponse
+					err = json.NewDecoder(resp.Body).Decode(&out)
+					resp.Body.Close()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[g] = append(results[g], seen{out.User, out.Generation, out.Items})
+					continue
+				}
+				body, _ := json.Marshal(batchRequest{Users: []int32{u, (u + 1) % testUsers, u}, N: n})
+				resp, err := http.Post(ts.URL+"/topn", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out batchResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, row := range out.Results {
+					if row.Generation != out.Generation {
+						t.Errorf("batch row generation %d, response %d", row.Generation, out.Generation)
+					}
+					results[g] = append(results[g], seen{row.User, out.Generation, row.Items})
+				}
+			}
+		}(g)
+	}
+	for r := 1; r <= reloads; r++ {
+		resp, err := http.Post(ts.URL+"/reload", "application/json", strings.NewReader(fmt.Sprintf(`{"model":"m%d"}`, r)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rl reloadResponse
+		err = json.NewDecoder(resp.Body).Decode(&rl)
+		resp.Body.Close()
+		if err != nil || rl.Generation != int64(r+1) {
+			t.Fatalf("reload %d: generation %d, err %v", r, rl.Generation, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	refs := make([]*recommend.Recommender, len(models))
+	for g, m := range models {
+		ref, err := recommend.New(m, testUsers, testItems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[g] = ref
+	}
+	checked := 0
+	for _, rs := range results {
+		for _, r := range rs {
+			if r.gen < 1 || int(r.gen) > len(models) {
+				t.Fatalf("user %d: generation %d out of range", r.user, r.gen)
+			}
+			want, err := refs[r.gen-1].TopN(r.user, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.items) != len(want) {
+				t.Fatalf("user %d generation %d: %v, model of that generation ranks %v", r.user, r.gen, r.items, want)
+			}
+			for i := range want {
+				if r.items[i] != want[i] {
+					t.Fatalf("user %d generation %d: %v, model of that generation ranks %v", r.user, r.gen, r.items, want)
+				}
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no responses checked")
 	}
 }

@@ -100,6 +100,23 @@ func TestServeSchemaStable(t *testing.T) {
 	}
 }
 
+// TestServePerUserFieldStable pins the one field the per-user batch rows
+// add to serve/v1: us_per_user, omitted on the request rows.
+func TestServePerUserFieldStable(t *testing.T) {
+	got, err := json.Marshal([]ServeResult{
+		{Name: "TopN10", Requests: 1, QPS: 1, P50us: 1, P99us: 1, MeanUs: 1},
+		{Name: "PerUser/Batch8/InCache", Requests: 2, QPS: 3, P50us: 4, P99us: 5, MeanUs: 4, UsPerUser: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"name":"TopN10","requests":1,"errors":0,"qps":1,"p50_us":1,"p99_us":1,"mean_us":1},` +
+		`{"name":"PerUser/Batch8/InCache","requests":2,"errors":0,"qps":3,"p50_us":4,"p99_us":5,"mean_us":4,"us_per_user":0.5}]`
+	if string(got) != want {
+		t.Fatalf("serve per-user field drifted:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestScheduleSchemaStable pins the schedule group's field set: the
 // straggler pair reports ns/update like the kernel group (its unit of
 // work is SGD updates through a re-shardable cluster), so the same

@@ -24,15 +24,17 @@ const ServeSchema = "hccmf-bench/serve/v1"
 // ServeResult is one serving scenario's latency/throughput summary.
 // Percentiles are exact (nearest-rank over all recorded samples), in
 // microseconds: serving latencies sit in the µs-to-ms range where ns are
-// noise and seconds lose precision.
+// noise and seconds lose precision. UsPerUser, set on the per-user batch
+// rows only, is the run's wall time divided by the users it served.
 type ServeResult struct {
-	Name     string  `json:"name"`
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors"`
-	QPS      float64 `json:"qps"`
-	P50us    float64 `json:"p50_us"`
-	P99us    float64 `json:"p99_us"`
-	MeanUs   float64 `json:"mean_us"`
+	Name      string  `json:"name"`
+	Requests  int64   `json:"requests"`
+	Errors    int64   `json:"errors"`
+	QPS       float64 `json:"qps"`
+	P50us     float64 `json:"p50_us"`
+	P99us     float64 `json:"p99_us"`
+	MeanUs    float64 `json:"mean_us"`
+	UsPerUser float64 `json:"us_per_user,omitempty"`
 }
 
 // Percentile returns the exact q-quantile of sorted (ascending) by the
@@ -93,9 +95,25 @@ const (
 	serveBatchReq = 200
 )
 
+// Per-user batch rows: each batch size serves a fixed number of users per
+// Collect run on two models, the Rows×Cols×K one (Q = 125 KiB, in L2) and
+// an out-of-cache one whose Q (outOfCacheCols×K float32 = 8 MiB) outgrows
+// a per-core L2, so a row's µs/user shows whether batching amortises the
+// Q scan.
+const (
+	outOfCacheCols       = 1 << 16
+	inCacheBatchUsers    = 2048
+	outOfCacheBatchUsers = 256
+)
+
+// perUserBatches are the batch sizes of the per-user rows.
+var perUserBatches = []int{1, 8, 32, 128}
+
 // CollectServe measures the serving scenarios against an in-process
-// Service on a seeded synthetic Rows×Cols×K model: single-user requests
-// (shard-parallel scoring) and batch requests (user-parallel scoring).
+// Service on seeded synthetic models: single-user requests
+// (shard-parallel scoring) and batch requests (a tiled pass over Q per
+// worker's group of users) on the Rows×Cols×K model, then the per-user
+// batch rows PerUser/Batch<b>/{InCache,OutOfCache}.
 func CollectServe(count int) ([]ServeResult, error) {
 	if count < 1 {
 		count = 1
@@ -139,8 +157,57 @@ func CollectServe(count int) ([]ServeResult, error) {
 	}
 	batchElapsed := time.Since(start)
 
-	return []ServeResult{
+	results := []ServeResult{
 		SummarizeServe(fmt.Sprintf("TopN%d", serveN), singles, 0, singleElapsed),
 		SummarizeServe(fmt.Sprintf("TopN%dBatch%d", serveN, serveBatch), batches, 0, batchElapsed),
-	}, nil
+	}
+	inCache, err := perUserRows(svc, Rows, "InCache", count*inCacheBatchUsers)
+	if err != nil {
+		return nil, err
+	}
+	results = append(results, inCache...)
+
+	big := mf.NewFactorsInit(Rows, outOfCacheCols, K, 3.5, sparse.NewRand(12))
+	bigSvc, err := recommend.NewService(big, Rows, outOfCacheCols, recommend.ServiceConfig{MaxN: serveN})
+	if err != nil {
+		return nil, fmt.Errorf("kernelbench: serve harness: %w", err)
+	}
+	defer bigSvc.Close()
+	outOfCache, err := perUserRows(bigSvc, Rows, "OutOfCache", count*outOfCacheBatchUsers)
+	if err != nil {
+		return nil, err
+	}
+	return append(results, outOfCache...), nil
+}
+
+// perUserRows serves users top-N queries at each batch size in
+// perUserBatches (rounded up to whole batches) and reports one row per
+// size with UsPerUser set.
+func perUserRows(svc *recommend.Service, rows int, label string, users int) ([]ServeResult, error) {
+	var out []ServeResult
+	for _, b := range perUserBatches {
+		ids := make([]int32, b)
+		bufs := make([][]recommend.Item, b)
+		for i := range bufs {
+			bufs[i] = make([]recommend.Item, 0, serveN)
+		}
+		reqs := (users + b - 1) / b
+		lat := make([]time.Duration, 0, reqs)
+		start := time.Now()
+		for r := 0; r < reqs; r++ {
+			for j := range ids {
+				ids[j] = int32((r*b + j) % rows)
+			}
+			t0 := time.Now()
+			if err := svc.TopNBatch(ids, serveN, bufs); err != nil {
+				return nil, fmt.Errorf("kernelbench: serve %s batch %d request %d: %w", label, b, r, err)
+			}
+			lat = append(lat, time.Since(t0))
+		}
+		elapsed := time.Since(start)
+		res := SummarizeServe(fmt.Sprintf("PerUser/Batch%d/%s", b, label), lat, 0, elapsed)
+		res.UsPerUser = float64(elapsed) / float64(time.Microsecond) / float64(reqs*b)
+		out = append(out, res)
+	}
+	return out, nil
 }

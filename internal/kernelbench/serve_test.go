@@ -1,6 +1,7 @@
 package kernelbench
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -84,7 +85,9 @@ func TestDiffServeGroup(t *testing.T) {
 }
 
 // TestCollectServeSmoke runs the in-process harness at its smallest size
-// and sanity-checks the two scenarios' summaries.
+// and sanity-checks every scenario's summary: the two request rows keep
+// their names (diffs against older reports line up), and each per-user
+// batch row reports µs per user.
 func TestCollectServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve harness issues thousands of requests")
@@ -93,18 +96,27 @@ func TestCollectServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("scenarios = %d, want 2", len(results))
+	want := []string{"TopN10", "TopN10Batch32"}
+	for _, label := range []string{"InCache", "OutOfCache"} {
+		for _, b := range perUserBatches {
+			want = append(want, fmt.Sprintf("PerUser/Batch%d/%s", b, label))
+		}
 	}
-	if results[0].Name != "TopN10" || results[1].Name != "TopN10Batch32" {
-		t.Fatalf("scenario names: %+v", results)
+	if len(results) != len(want) {
+		t.Fatalf("scenarios = %d, want %d", len(results), len(want))
 	}
-	for _, r := range results {
+	for i, r := range results {
+		if r.Name != want[i] {
+			t.Fatalf("scenario %d is %q, want %q", i, r.Name, want[i])
+		}
 		if r.Requests == 0 || r.Errors != 0 {
 			t.Fatalf("%s: %+v", r.Name, r)
 		}
 		if r.QPS <= 0 || r.P50us <= 0 || r.P99us < r.P50us || r.MeanUs <= 0 {
 			t.Fatalf("%s: implausible summary %+v", r.Name, r)
+		}
+		if perUser := i >= 2; perUser != (r.UsPerUser > 0) {
+			t.Fatalf("%s: us_per_user %v", r.Name, r.UsPerUser)
 		}
 	}
 }

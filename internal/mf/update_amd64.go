@@ -28,3 +28,10 @@ func updateOneVec(p, q []float32, r float32, h HyperParams) float32
 //
 //go:noescape
 func updateOneFastVec(p, q []float32, r float32, h HyperParams) float32
+
+// scoreRowsVec is the SSE multi-row scoring kernel in score_amd64.s:
+// out[j] = p·q_j over len(out) consecutive rows of stride len(p), each
+// bit-identical to Dot. Callers guarantee len(q) >= len(out)*len(p).
+//
+//go:noescape
+func scoreRowsVec(p, q, out []float32)

@@ -28,3 +28,14 @@ func updateOneVec(p, q []float32, r float32, h HyperParams) float32 {
 func updateOneFastVec(p, q []float32, r float32, h HyperParams) float32 {
 	return updateOneFastGeneric(p, q, r, h)
 }
+
+// scoreRowsVec falls back to one Dot per row: Dot's own summation order,
+// so ScoreRows stays bit-identical to Dot on every architecture.
+//
+// lint:hotpath
+func scoreRowsVec(p, q, out []float32) {
+	k := len(p)
+	for j := range out {
+		out[j] = Dot(p, q[j*k:(j+1)*k])
+	}
+}

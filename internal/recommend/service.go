@@ -19,13 +19,19 @@ import (
 //     across shards with no per-shard copies.
 //   - Persistent worker pool: a fixed set of goroutines drains a task
 //     channel (the internal/mf sweep-pool pattern). Tasks are sent by
-//     value; nothing on the request path spawns goroutines.
+//     value; nothing on the request path spawns goroutines. There is one
+//     task type: a group of users over an item range, scanned tile by
+//     tile with the SSE multi-row kernel. A single-user query is a group
+//     of one per shard; a batch is one contiguous group of users per
+//     worker over the whole catalog (DESIGN.md §13).
 //   - Bounded heaps in caller buffers: shard scans and merges build their
 //     heaps inside preallocated buffers, so the steady-state scoring path
 //     is 0 allocs/op (enforced by alloc_test.go).
-//   - Hot reload: the model lives behind an atomic pointer. Reload
-//     validates dimensions and swaps the pointer; every request loads the
-//     pointer exactly once, so a request never mixes two models.
+//   - Hot reload: the model lives behind an atomic pointer, boxed with its
+//     generation. Reload validates dimensions and swaps the pointer; every
+//     request loads the pointer exactly once, so a request never mixes two
+//     models, and TopNIntoGen/TopNBatchGen report the generation of the
+//     model that actually scored the request.
 //
 // MarkSeen is not safe to call concurrently with queries: load the seen
 // set before serving traffic (the daemon does this at startup).
@@ -37,15 +43,19 @@ type Service struct {
 	workers      int
 
 	model atomic.Pointer[modelBox]
-	gen   atomic.Int64
 	seen  seenSet
 
 	tasks   chan serveTask
 	queries sync.Pool // *query
 }
 
-// modelBox wraps the Scorer so the atomic pointer has a concrete type.
-type modelBox struct{ s Scorer }
+// modelBox is one model generation: the model as the scan sees it and
+// the generation number, swapped together so a query can never pair one
+// model's scores with another's generation.
+type modelBox struct {
+	scanModel
+	gen int64
+}
 
 // ServiceConfig sizes a Service. Zero values pick defaults.
 type ServiceConfig struct {
@@ -60,34 +70,57 @@ type ServiceConfig struct {
 	MaxN int
 }
 
-// serveTask is one unit of scoring work: scan items [lo,hi) for user u
-// into the n-bounded heap at *dst. Sent by value; the worker writes the
-// resulting slice header back through dst and signals wg.
+// serveTask is the pool's one unit of scoring work: scan items [lo,hi)
+// for every user of users, user j into the n-bounded heap dsts[j], which
+// must start empty. Sent by value; the worker builds the heaps in place in
+// dsts and signals wg.
 type serveTask struct {
-	model  Scorer
-	seen   []int32
-	u      int32
+	model  *scanModel
+	seen   [][]int32 // per-user sorted seen lists
+	users  []int32
+	dsts   [][]Item
 	lo, hi int32
 	n      int
-	dst    *[]Item
 	wg     *sync.WaitGroup
 }
 
-// serveWorker drains tasks until the channel is closed. Top-level function
-// (not a closure) so pool construction allocates only the goroutines.
+// serveWorker drains tasks until the channel is closed, scanning with its
+// own score scratch. Top-level function (not a closure) so pool
+// construction allocates only the goroutines and their scratch.
 //
 // lint:hotpath
-func serveWorker(tasks <-chan serveTask) {
+func serveWorker(tasks <-chan serveTask, scores []float32) {
 	for t := range tasks {
-		*t.dst = scanRange(t.model, t.u, t.seen, t.lo, t.hi, t.n, (*t.dst)[:0])
+		t.run(scores[:t.model.tile])
 		t.wg.Done()
 	}
 }
 
-// query is the pooled per-request state: one bounded heap per shard. The
-// heaps are preallocated at MaxN capacity so a request allocates nothing.
+// run walks [lo,hi) one Q tile at a time and scores each tile for every
+// user before moving to the next, so a tile's Q rows come from memory
+// once per task and from cache for the rest of the users.
+//
+// lint:hotpath
+func (t *serveTask) run(scores []float32) {
+	tile := int32(len(scores))
+	for lo := t.lo; lo < t.hi; {
+		hi := t.hi
+		if hi-lo > tile {
+			hi = lo + tile
+		}
+		for j, u := range t.users {
+			t.dsts[j] = scanRange(t.model, u, t.seen[u], lo, hi, t.n, t.dsts[j], scores)
+		}
+		lo = hi
+	}
+}
+
+// query is the pooled per-request state: one bounded heap per shard, and
+// the one-user group a single-user query's shard tasks share. The heaps
+// are preallocated at MaxN capacity so a request allocates nothing.
 type query struct {
 	wg    sync.WaitGroup
+	user  [1]int32
 	parts [][]Item
 }
 
@@ -126,8 +159,7 @@ func NewService(model Scorer, users, items int, cfg ServiceConfig) (*Service, er
 	for i := 0; i <= nshards; i++ {
 		s.bounds[i] = int32(i * items / nshards)
 	}
-	s.model.Store(&modelBox{s: model})
-	s.gen.Store(1)
+	s.model.Store(&modelBox{scanModel: newScanModel(model), gen: 1})
 	s.queries.New = func() any {
 		q := &query{parts: make([][]Item, nshards)}
 		for i := range q.parts {
@@ -136,7 +168,7 @@ func NewService(model Scorer, users, items int, cfg ServiceConfig) (*Service, er
 		return q
 	}
 	for i := 0; i < workers; i++ {
-		go serveWorker(s.tasks)
+		go serveWorker(s.tasks, make([]float32, maxTile))
 	}
 	return s, nil
 }
@@ -154,8 +186,11 @@ func (s *Service) Items() int { return s.items }
 // MaxN reports the per-request n cap.
 func (s *Service) MaxN() int { return s.maxN }
 
-// Generation reports the model generation, incremented by every Reload.
-func (s *Service) Generation() int64 { return s.gen.Load() }
+// Generation reports the current model generation: 1 for the model the
+// service was built with, incremented by every Reload. A query's own
+// generation is what TopNIntoGen/TopNBatchGen return: a Reload may land
+// between a Generation call and a query.
+func (s *Service) Generation() int64 { return s.model.Load().gen }
 
 // MarkSeen loads already-rated interactions for seen-item exclusion. Not
 // concurrency-safe with queries; call before serving.
@@ -174,9 +209,13 @@ func (s *Service) Reload(model Scorer, users, items int) error {
 		return fmt.Errorf("recommend: reload dims %dx%d do not match service %dx%d",
 			users, items, s.users, s.items)
 	}
-	s.model.Store(&modelBox{s: model})
-	s.gen.Add(1)
-	return nil
+	next := newScanModel(model)
+	for {
+		old := s.model.Load()
+		if s.model.CompareAndSwap(old, &modelBox{scanModel: next, gen: old.gen + 1}) {
+			return nil
+		}
+	}
 }
 
 // TopNInto answers a single-user query, fanning the item scan across the
@@ -186,18 +225,29 @@ func (s *Service) Reload(model Scorer, users, items int) error {
 //
 // lint:hotpath
 func (s *Service) TopNInto(u int32, n int, buf []Item) ([]Item, error) {
+	out, _, err := s.TopNIntoGen(u, n, buf)
+	return out, err
+}
+
+// TopNIntoGen is TopNInto that also reports the generation of the model
+// that scored the query.
+//
+// lint:hotpath
+func (s *Service) TopNIntoGen(u int32, n int, buf []Item) ([]Item, int64, error) {
 	if err := s.checkQuery(u, n); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	model := s.model.Load().s
-	seen := s.seen.rows[u]
+	box := s.model.Load()
 	q := s.queries.Get().(*query)
+	q.user[0] = u
 	q.wg.Add(s.nshards)
 	for i := 0; i < s.nshards; i++ {
+		q.parts[i] = q.parts[i][:0]
 		s.tasks <- serveTask{
-			model: model, seen: seen, u: u,
+			model: &box.scanModel, seen: s.seen.rows,
+			users: q.user[:], dsts: q.parts[i : i+1],
 			lo: s.bounds[i], hi: s.bounds[i+1],
-			n: n, dst: &q.parts[i], wg: &q.wg,
+			n: n, wg: &q.wg,
 		}
 	}
 	q.wg.Wait()
@@ -209,35 +259,54 @@ func (s *Service) TopNInto(u int32, n int, buf []Item) ([]Item, error) {
 	}
 	s.queries.Put(q)
 	sortDesc(out)
-	return out, nil
+	return out, box.gen, nil
 }
 
-// TopNBatch answers a multi-user query: one task per user on the
-// persistent pool, each scanning the full item range into the caller's
-// row buffer bufs[i] (heap built in place, then sorted best-first). With
-// cap(bufs[i]) >= n the call allocates nothing in steady state. Row i of
-// bufs is re-sliced to user i's results. Validation happens before any
-// task is dispatched, and errors name the offending user.
+// TopNBatch answers a multi-user query as one blocked P_batch·Qᵀ pass:
+// the users are cut into one contiguous group per pool worker, and each
+// worker walks Q tile by tile, scoring every tile for each user of its
+// group into that user's row buffer bufs[i] (heap built in place, then
+// sorted best-first). With cap(bufs[i]) >= n the call allocates nothing in
+// steady state. Row i of bufs is re-sliced to user i's results. Validation
+// happens before any task is dispatched, and errors name the offending
+// user.
 //
 // lint:hotpath
 func (s *Service) TopNBatch(users []int32, n int, bufs [][]Item) error {
+	_, err := s.TopNBatchGen(users, n, bufs)
+	return err
+}
+
+// TopNBatchGen is TopNBatch that also reports the generation of the model
+// that scored the batch.
+//
+// lint:hotpath
+func (s *Service) TopNBatchGen(users []int32, n int, bufs [][]Item) (int64, error) {
 	if len(bufs) < len(users) {
-		return fmt.Errorf("recommend: batch of %d users with %d result buffers", len(users), len(bufs)) // lint:allow hotalloc validation error path, never taken in steady state
+		return 0, fmt.Errorf("recommend: batch of %d users with %d result buffers", len(users), len(bufs)) // lint:allow hotalloc validation error path, never taken in steady state
 	}
 	for i, u := range users {
 		if err := s.checkQuery(u, n); err != nil {
-			return fmt.Errorf("recommend: batch user %d (index %d): %w", u, i, err) // lint:allow hotalloc validation error path, never taken in steady state
+			return 0, fmt.Errorf("recommend: batch user %d (index %d): %w", u, i, err) // lint:allow hotalloc validation error path, never taken in steady state
 		}
 	}
-	model := s.model.Load().s
+	box := s.model.Load()
+	groups := s.workers
+	if groups > len(users) {
+		groups = len(users)
+	}
 	q := s.queries.Get().(*query)
-	q.wg.Add(len(users))
-	for i, u := range users {
-		bufs[i] = bufs[i][:0]
+	q.wg.Add(groups)
+	for g := 0; g < groups; g++ {
+		a, b := g*len(users)/groups, (g+1)*len(users)/groups
+		for i := a; i < b; i++ {
+			bufs[i] = bufs[i][:0]
+		}
 		s.tasks <- serveTask{
-			model: model, seen: s.seen.rows[u], u: u,
+			model: &box.scanModel, seen: s.seen.rows,
+			users: users[a:b], dsts: bufs[a:b],
 			lo: 0, hi: int32(s.items),
-			n: n, dst: &bufs[i], wg: &q.wg,
+			n: n, wg: &q.wg,
 		}
 	}
 	q.wg.Wait()
@@ -245,7 +314,7 @@ func (s *Service) TopNBatch(users []int32, n int, bufs [][]Item) error {
 	for i := range users {
 		sortDesc(bufs[i])
 	}
-	return nil
+	return box.gen, nil
 }
 
 func (s *Service) checkQuery(u int32, n int) error {
