@@ -2,7 +2,8 @@
 // performance regressions. With no -candidate it runs the micro-benchmark
 // suite fresh (like `hccmf-bench -json`); with no -baseline it picks the
 // newest checked-in BENCH_*.json. CI runs it report-only; pass
-// -fail-on-regress to turn flagged kernels into a non-zero exit.
+// -fail-on-regress to turn flagged kernels into a non-zero exit. Baseline
+// rows the candidate no longer has are listed as dropped.
 //
 // Usage:
 //
@@ -63,19 +64,32 @@ func main() {
 		cand = kernelbench.Collect(*count)
 	}
 
-	deltas := kernelbench.Diff(base, cand, *threshold)
+	keep := func(string) bool { return true }
 	if *groups != "" {
 		want := make(map[string]bool)
 		for _, g := range strings.Split(*groups, ",") {
 			want[strings.TrimSpace(g)] = true
 		}
-		kept := deltas[:0]
-		for _, d := range deltas {
-			if want[d.Group] {
-				kept = append(kept, d)
-			}
+		keep = func(g string) bool { return want[g] }
+	}
+	deltas := kernelbench.Diff(base, cand, *threshold)
+	kept := deltas[:0]
+	for _, d := range deltas {
+		if keep(d.Group) {
+			kept = append(kept, d)
 		}
-		deltas = kept
+	}
+	deltas = kept
+	// Dropped rows are informational: they never change the exit status.
+	dropped := 0
+	for _, r := range kernelbench.Dropped(base, cand) {
+		if keep(r.Group) {
+			fmt.Printf("%-8s %-18s dropped (in the baseline, not in the candidate)\n", r.Group, r.Name)
+			dropped++
+		}
+	}
+	if dropped > 0 {
+		fmt.Println()
 	}
 	if len(deltas) == 0 {
 		fmt.Println("no comparable kernels between the two reports")

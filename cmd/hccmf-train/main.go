@@ -59,7 +59,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON document (load in chrome://tracing or Perfetto) to this file")
 	progress := flag.Bool("progress", false, "print a per-epoch progress line to stderr while training")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
-	fastMath := flag.Bool("fast-math", false, "enable the versioned fast-math kernels (reordered accumulation, SoA batching, tiled traversal); results follow the fast-math goldens instead of the default bit-exact contract")
+	fastMath := flag.Bool("fast-math", false, "enable the versioned fast-math kernels (reordered accumulation, tiled traversal); results follow the fast-math goldens instead of the default bit-exact contract")
 	rebalance := flag.Bool("rebalance", false, "adaptively re-shard the training data at epoch boundaries from observed per-worker throughput")
 	rebHysteresis := flag.Float64("rebalance-hysteresis", 0, "predicted makespan gain a re-shard must exceed (0 uses the default, "+fmt.Sprintf("%.2f", schedule.DefaultHysteresis)+")")
 	rebMinEpochs := flag.Int("rebalance-min-epochs", 0, "minimum epochs between re-shards (0 uses the default, "+fmt.Sprintf("%d", schedule.DefaultMinEpochs)+")")

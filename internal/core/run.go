@@ -111,11 +111,10 @@ type Tuning struct {
 	// min(GOMAXPROCS, HostCap).
 	EvalThreads int
 	// FastMath opts every worker engine into the versioned fast-math mode
-	// (DESIGN.md §16): reordered-accumulation kernels, SoA mini-batch
-	// staging on the batched engine, cache-blocked Q tiles on FPSGD, and
-	// column-sorted shard traversal. Training results leave the default
-	// bit-exact contract and follow the fast-math goldens instead. Off by
-	// default.
+	// (DESIGN.md §16): reordered-accumulation kernels, cache-blocked Q
+	// tiles on FPSGD, and row-major sorted shard traversal. Training
+	// results leave the default bit-exact contract and follow the
+	// fast-math goldens instead. Off by default.
 	FastMath bool
 }
 

@@ -30,7 +30,8 @@ type Delta struct {
 // A kernel regresses when its candidate time exceeds the baseline by more
 // than threshold (0.15 = 15% slower). Kernels present in only one report
 // or skipped in either are left out — renames and race-mode skips are not
-// regressions. Faster-than-baseline results never flag.
+// regressions (Dropped lists the baseline rows a candidate lacks).
+// Faster-than-baseline results never flag.
 func Diff(base, cand Report, threshold float64) []Delta {
 	var deltas []Delta
 	deltas = append(deltas, diffGroup("kernel", base.Kernels, cand.Kernels, threshold)...)
@@ -88,6 +89,42 @@ func diffGroup(group string, base, cand []Result, threshold float64) []Delta {
 		deltas = append(deltas, d)
 	}
 	return deltas
+}
+
+// DroppedRow names a baseline row that the candidate report no longer has.
+type DroppedRow struct {
+	Group string
+	Name  string
+}
+
+// Dropped lists the baseline rows, group by group, that the candidate
+// lacks. Diff pairs rows by name and leaves unpaired ones out (a rename is
+// not a regression), so this list is what keeps a deleted or renamed row
+// from leaving the comparison unannounced. It is informational: a dropped
+// row is not a regression.
+func Dropped(base, cand Report) []DroppedRow {
+	resultName := func(r Result) string { return r.Name }
+	serveName := func(r ServeResult) string { return r.Name }
+	var out []DroppedRow
+	out = append(out, droppedRows("kernel", base.Kernels, cand.Kernels, resultName)...)
+	out = append(out, droppedRows("ingest", base.Ingest, cand.Ingest, resultName)...)
+	out = append(out, droppedRows("serve", base.Serve, cand.Serve, serveName)...)
+	out = append(out, droppedRows("schedule", base.Schedule, cand.Schedule, resultName)...)
+	return out
+}
+
+func droppedRows[T any](group string, base, cand []T, name func(T) string) []DroppedRow {
+	have := make(map[string]bool, len(cand))
+	for _, c := range cand {
+		have[name(c)] = true
+	}
+	var out []DroppedRow
+	for _, b := range base {
+		if !have[name(b)] {
+			out = append(out, DroppedRow{Group: group, Name: name(b)})
+		}
+	}
+	return out
 }
 
 // pickMetric chooses the per-update time when both reports carry it (the

@@ -97,6 +97,41 @@ func TestDiffSkipsUnpairedAndSkipped(t *testing.T) {
 	}
 }
 
+// TestDroppedListsBaselineOnlyRows: a baseline row the candidate lacks is
+// reported per group — a rename shows as dropped under its old name — and
+// rows present in both, or only in the candidate, are not.
+func TestDroppedListsBaselineOnlyRows(t *testing.T) {
+	base := baseReport()
+	base.Serve = []ServeResult{{Name: "TopN10"}, {Name: "TopN10Batch32"}}
+	cand := baseReport()
+	cand.Kernels[0].Name = "UpdateOneRenamed"
+	cand.Kernels = cand.Kernels[:2] // HogwildEpoch dropped
+	cand.Ingest = nil               // ParseText dropped
+	cand.Serve = []ServeResult{{Name: "TopN10"}, {Name: "TopN10Batch128"}}
+	want := []DroppedRow{
+		{Group: "kernel", Name: "UpdateOne"},
+		{Group: "kernel", Name: "HogwildEpoch"},
+		{Group: "ingest", Name: "ParseText"},
+		{Group: "serve", Name: "TopN10Batch32"},
+	}
+	got := Dropped(base, cand)
+	if len(got) != len(want) {
+		t.Fatalf("Dropped = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Dropped[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if got := Dropped(base, base); len(got) != 0 {
+		t.Fatalf("identical reports: Dropped = %+v, want none", got)
+	}
+	// Dropped rows are informational: they never count as regressions.
+	if regs := Regressions(Diff(base, cand, 0.15)); len(regs) != 0 {
+		t.Fatalf("dropped rows flagged as regressions: %+v", regs)
+	}
+}
+
 // TestLoadReportBareAndWrapped covers both on-disk shapes: the raw
 // `hccmf-bench -json` output and the checked-in comparison wrapper whose
 // `after` member is the baseline.

@@ -108,15 +108,6 @@ func BatchedEpoch(b *testing.B) {
 	epochBench(b, &mf.Batched{Groups: 8, BatchSize: 4096})
 }
 
-// BatchedEpochSoA benchmarks the fast-math batched epoch: per-group SoA
-// mini-batch staging with batch-end write-back.
-func BatchedEpochSoA(b *testing.B) {
-	if raceflag.Enabled {
-		b.Skip("batched kernel is intentionally lock-free; skipped under -race")
-	}
-	epochBench(b, &mf.Batched{Groups: 8, BatchSize: 4096, FastMath: true})
-}
-
 // HogwildEpoch benchmarks one lock-free Hogwild epoch (4 threads).
 func HogwildEpoch(b *testing.B) {
 	if raceflag.Enabled {

@@ -82,7 +82,6 @@ func Suite() []Bench {
 		{"FPSGDEpoch", FPSGDEpoch},
 		{"FPSGDEpochTiled", FPSGDEpochTiled},
 		{"BatchedEpoch", BatchedEpoch},
-		{"BatchedEpochSoA", BatchedEpochSoA},
 		{"HogwildEpoch", HogwildEpoch},
 		{"RMSEParallel", RMSEParallel},
 		{"BuildWorkerConfs", BuildWorkerConfs},

@@ -89,11 +89,11 @@ func TestFPSGDFastMathEpochZeroAllocs(t *testing.T) {
 	})
 }
 
-func TestBatchedSoAEpochZeroAllocs(t *testing.T) {
+func TestBatchedFastMathEpochZeroAllocs(t *testing.T) {
 	skipAllocGuardUnderRace(t)
 	f, m, h := allocModel(t, 1<<14)
 	e := &Batched{Groups: 4, BatchSize: 4096, FastMath: true}
-	assertZeroAllocs(t, "Batched.Epoch(soa)", func() {
+	assertZeroAllocs(t, "Batched.Epoch(fast-math)", func() {
 		e.Epoch(f, m, h)
 	})
 }

@@ -257,16 +257,52 @@ func TestBlockSchedulerExclusivity(t *testing.T) {
 	}
 }
 
-func TestSortEntriesByRow(t *testing.T) {
+// The row sort behind FPSGD's block traversal is stable: every grid block
+// is (U, I)-sorted and duplicate (U, I) entries keep their input order, in
+// both the default and the tiled traversal.
+func TestFPSGDGridRowSortIsStable(t *testing.T) {
+	const rows, cols = 30, 20
 	rng := sparse.NewRand(13)
-	entries := make([]sparse.Rating, 500)
-	for i := range entries {
-		entries[i] = sparse.Rating{U: int32(rng.Intn(40)), I: int32(rng.Intn(40)), V: 1}
+	m := sparse.NewCOO(rows, cols, 3000)
+	for n := 0; n < 3000; n++ {
+		// 600 cells for 3000 entries: about five duplicates per (U, I),
+		// told apart by V, which records the input position.
+		m.Add(int32(rng.Intn(rows)), int32(rng.Intn(cols)), float32(n))
 	}
-	sortEntriesByRow(entries)
-	for i := 1; i < len(entries); i++ {
-		if lessByRow(entries[i], entries[i-1]) {
-			t.Fatalf("not sorted at %d", i)
+	for _, fast := range []bool{false, true} {
+		e := &FPSGD{Threads: 2, FastMath: fast}
+		g := e.cachedGrid(m, 3, 4)
+		for bi, b := range g.Blocks {
+			for j := 1; j < len(b.Entries); j++ {
+				a, c := b.Entries[j-1], b.Entries[j]
+				if c.U < a.U || (c.U == a.U && c.I < a.I) {
+					t.Fatalf("fast=%v block %d: not (U, I)-sorted at %d", fast, bi, j)
+				}
+				if c.U == a.U && c.I == a.I && c.V < a.V {
+					t.Fatalf("fast=%v block %d: duplicate (%d, %d) out of input order at %d",
+						fast, bi, c.U, c.I, j)
+				}
+			}
+		}
+	}
+}
+
+// A single-thread FPSGD trains the entries as given — bit-identical to
+// Serial — and builds no block grid for it.
+func TestFPSGDSingleThreadSkipsGrid(t *testing.T) {
+	m := trainSet(t, 40, 30, 1000, 9)
+	f1 := NewFactorsInit(m.Rows, m.Cols, 4, m.MeanRating(), sparse.NewRand(1))
+	f2 := f1.Clone()
+	h := HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
+	e := &FPSGD{Threads: 1}
+	Serial{}.Epoch(f1, m, h)
+	e.Epoch(f2, m, h)
+	if e.grid != nil {
+		t.Fatal("1-thread FPSGD built a block grid it never trains on")
+	}
+	for i := range f1.P {
+		if f1.P[i] != f2.P[i] {
+			t.Fatal("1-thread FPSGD diverged from serial")
 		}
 	}
 }

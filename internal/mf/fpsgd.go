@@ -27,10 +27,6 @@ type FPSGD struct {
 	// touches stay resident across the tile. Off by default; default mode
 	// keeps the bit-exact row-sorted traversal.
 	FastMath bool
-	// TileBytes bounds the Q-tile footprint used by the fast-math block
-	// traversal; 0 selects tileBytesDefault (a conservative per-core L2
-	// share). Ignored unless FastMath is set.
-	TileBytes int
 
 	mu    sync.Mutex
 	grid  *sparse.BlockGridded
@@ -76,8 +72,13 @@ func (fp *FPSGD) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 		nside = 1
 	}
 	kern := fp.kernel(f.K, fp.FastMath)
-	grid := fp.cachedGrid(train, nside, f.K)
-	if grid == nil || threads == 1 || nside < 2 {
+	// A single thread or a one-block grid trains the entries as given, so
+	// it must not pay for a grid it would never use.
+	var grid *sparse.BlockGridded
+	if threads > 1 && nside >= 2 {
+		grid = fp.cachedGrid(train, nside, f.K)
+	}
+	if grid == nil {
 		trainEntriesKernel(f, train.Entries, h, kern)
 		return
 	}
@@ -122,81 +123,24 @@ func (fp *FPSGD) cachedGrid(train *sparse.COO, nside, k int) *sparse.BlockGridde
 	if err != nil {
 		return nil
 	}
-	if fp.FastMath {
-		// Cache-blocked traversal: order each block's entries into L2-sized
-		// column tiles, (row, col) within a tile, so a sweep's Q working set
-		// stays tile-resident (DESIGN.md §16).
-		budget := fp.TileBytes
-		if budget <= 0 {
-			budget = tileBytesDefault
-		}
-		for i := range g.Blocks {
-			colLo, _ := g.ColRange(g.Blocks[i].BC)
-			tileOrder(g.Blocks[i].Entries, colLo, k, budget)
-		}
-	} else {
-		// Sort blocks by row for cache locality, as the paper's modified
-		// baseline does ("block sorting by row").
-		for i := range g.Blocks {
-			sortEntriesByRow(g.Blocks[i].Entries)
+	for i := range g.Blocks {
+		b := &g.Blocks[i]
+		if fp.FastMath {
+			// Cache-blocked traversal: order each block's entries into
+			// L2-sized column tiles, (row, col) within a tile, so a sweep's
+			// Q working set stays tile-resident (DESIGN.md §16).
+			colLo, _ := g.ColRange(b.BC)
+			tileOrder(b.Entries, colLo, k, tileBytesDefault)
+		} else {
+			// Sort blocks by row for cache locality, as the paper's modified
+			// baseline does ("block sorting by row"). The sort is stable, so
+			// duplicate (u, i) entries keep their input order.
+			sparse.SortRatings(b.Entries, train.Rows, train.Cols)
 		}
 	}
 	fp.grid, fp.src, fp.nside = g, train, nside
 	fp.tiled, fp.gridK = fp.FastMath, k
 	return g
-}
-
-func sortEntriesByRow(entries []sparse.Rating) {
-	// Insertion-friendly small slices dominate; stdlib sort is fine here
-	// because grids are rebuilt once per matrix, not per epoch.
-	if len(entries) < 2 {
-		return
-	}
-	quickSortByRow(entries)
-}
-
-func quickSortByRow(e []sparse.Rating) {
-	for len(e) > 12 {
-		p := partitionByRow(e)
-		if p < len(e)-p {
-			quickSortByRow(e[:p])
-			e = e[p:]
-		} else {
-			quickSortByRow(e[p:])
-			e = e[:p]
-		}
-	}
-	for i := 1; i < len(e); i++ {
-		for j := i; j > 0 && lessByRow(e[j], e[j-1]); j-- {
-			e[j], e[j-1] = e[j-1], e[j]
-		}
-	}
-}
-
-func partitionByRow(e []sparse.Rating) int {
-	pivot := e[len(e)/2]
-	i, j := 0, len(e)-1
-	for {
-		for lessByRow(e[i], pivot) {
-			i++
-		}
-		for lessByRow(pivot, e[j]) {
-			j--
-		}
-		if i >= j {
-			return j + 1
-		}
-		e[i], e[j] = e[j], e[i]
-		i++
-		j--
-	}
-}
-
-func lessByRow(a, b sparse.Rating) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.I < b.I
 }
 
 // blockScheduler hands out grid blocks so that no two in-flight blocks

@@ -270,11 +270,10 @@ func TestFastMathGoldenBits(t *testing.T) {
 	}
 }
 
-// TestBatchedSoAMatchesInPlaceFastMath pins the SoA staging loop's
-// value-preservation claim: a single-group fast-math Batched epoch (every
-// batch staged through scratch, written back at batch end) is bit-identical
-// to the plain in-place fast-math sweep over the same entry order.
-func TestBatchedSoAMatchesInPlaceFastMath(t *testing.T) {
+// TestBatchedFastMathMatchesInPlaceSweep pins single-group fast-math
+// Batched output: cutting the epoch into launches changes nothing, so it is
+// bit-identical to one in-place fast-math sweep over the same entry order.
+func TestBatchedFastMathMatchesInPlaceSweep(t *testing.T) {
 	m := trainSet(t, 80, 50, 4000, 17)
 	h := HyperParams{Gamma: 0.005, Lambda1: 0.01, Lambda2: 0.01}
 	f1 := NewFactorsInit(m.Rows, m.Cols, 16, m.MeanRating(), sparse.NewRand(9))

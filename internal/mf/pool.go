@@ -29,16 +29,13 @@ import (
 // a scheduler task loops acquiring disjoint blocks from the carried grid
 // until the epoch is drained (FPSGD); an entries task sweeps the given
 // contiguous run once (Hogwild chunk, Batched group). kern is the kernel
-// the launching engine selected at Init (sweeper.kernel); soa, when
-// non-nil, routes the entries sweep through the fast-math SoA mini-batch
-// staging loop instead of the in-place kernel sweep.
+// the launching engine selected at Init (sweeper.kernel).
 type sweepTask struct {
 	f       *Factors
 	h       HyperParams
 	entries []sparse.Rating
 	sched   *blockScheduler
 	grid    *sparse.BlockGridded
-	soa     *soaScratch
 	kern    kernelID
 	wg      *sync.WaitGroup
 }
@@ -60,8 +57,6 @@ func sweepWorker(tasks <-chan sweepTask) {
 				trainEntriesKernel(t.f, t.grid.Blocks[idx].Entries, t.h, t.kern)
 				t.sched.release(idx)
 			}
-		case t.soa != nil:
-			trainEntriesSoA(t.f, t.entries, t.h, t.soa)
 		default:
 			trainEntriesKernel(t.f, t.entries, t.h, t.kern)
 		}

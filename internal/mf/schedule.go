@@ -105,14 +105,6 @@ func (b *BoldDriver) Observe(loss float64) {
 // cache with the streaming P rows and the entry stream itself.
 const tileBytesDefault = 256 << 10
 
-// tileBudget reports the engine's Q-tile byte budget.
-func (fp *FPSGD) tileBudget() int {
-	if fp.TileBytes > 0 {
-		return fp.TileBytes
-	}
-	return tileBytesDefault
-}
-
 // tileCols reports how many consecutive columns fit one Q tile of the
 // given byte budget at factor dimension k (4 bytes per float32), never
 // less than one column.
@@ -130,24 +122,26 @@ func tileCols(k, budget int) int {
 // tileOrder reorders entries in place into (tile, row, col) order, where
 // tile = (col − colLo) / tileCols(k, budget), and returns the tile count.
 // Cold path — it runs once per grid build, so it allocates its scratch
-// locally. The reorder is a stable counting scatter over a (row, col)
-// sort, i.e. an LSD radix pass with the tile index as the most significant
-// digit, so within each tile entries remain (row, col)-sorted — the same
-// P-streaming order the default traversal has, just confined to the tile.
+// locally. The reorder is a stable counting scatter over a stable
+// (row, col) sort (sparse.SortRatings), i.e. an LSD radix pass with the
+// tile index as the most significant digit, so within each tile entries
+// remain (row, col)-sorted — the same P-streaming order the default
+// traversal has, just confined to the tile — and duplicate (row, col)
+// entries keep their input order.
 func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
-	sortEntriesByRow(entries)
-	tc := tileCols(k, budget)
 	if len(entries) == 0 {
 		return 0
 	}
-	maxTile := 0
+	var maxU, maxI int32
 	for i := range entries {
-		t := (int(entries[i].I) - colLo) / tc
-		if t > maxTile {
-			maxTile = t
-		}
+		maxU = max(maxU, entries[i].U)
+		maxI = max(maxI, entries[i].I)
 	}
-	ntiles := maxTile + 1
+	sparse.SortRatings(entries, int(maxU)+1, int(maxI)+1)
+	tc := tileCols(k, budget)
+	// The tile index is monotone in the column, so the largest column
+	// fixes the tile count.
+	ntiles := (int(maxI)-colLo)/tc + 1
 	if ntiles == 1 {
 		return 1
 	}

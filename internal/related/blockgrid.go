@@ -1,174 +1,21 @@
 package related
 
-import (
-	"fmt"
-	"sync"
+import "fmt"
 
-	"hccmf/internal/mf"
-	"hccmf/internal/sparse"
-)
-
-// BlockCollaborative is the design HCC-MF's Section 3.3 decides *against*:
-// extending FPSGD/cuMF_SGD's exclusive block scheduling across workers. A
-// global (p+1)×(p+1) block grid is guarded by one lock-protected scheduler;
-// a worker acquires a free block — one sharing no block-row or block-column
-// with any in-flight block — trains it against the shared factors directly
-// (exclusivity makes this race-free), and releases it. An epoch visits
-// every block exactly once.
-//
-// It converges like FPSGD and needs no server, but two properties justify
-// the paper's choice of the row grid:
+// The block-grid traffic model is the Section 3.3 argument against
+// extending FPSGD/cuMF_SGD's exclusive block scheduling across workers.
+// That design — a global (p+1)×(p+1) block grid guarded by one
+// lock-protected scheduler, handing out blocks that share no block-row or
+// block-column with any in-flight block — is mf.FPSGD's, run across
+// workers instead of threads. It converges and needs no server, but two
+// properties justify the paper's choice of the row grid:
 //
 //   - every block acquisition must move that block's P rows *and* Q
 //     columns, so distributed-memory traffic is BlockGridTraffic —
 //     (g)·(m+n)·k parameters per epoch for a g×g grid versus the row
-//     grid's ~2·p·n·k with Q-only (see the tests);
+//     grid's ~2·p·n·k with Q-only (RowGridQOnlyTraffic);
 //   - the scheduler's global lock is on the critical path of every block
 //     hand-off, the "global locks" cost the paper's Section 5 points at.
-type BlockCollaborative struct {
-	// Workers is the number of concurrent workers.
-	Workers int
-	// GridExtra widens the grid beyond the minimum Workers+1 per side.
-	GridExtra int
-
-	grid *sparse.BlockGridded
-	src  *sparse.COO
-	// LockAcquisitions counts scheduler entries across all epochs — the
-	// global-lock pressure metric.
-	LockAcquisitions int64
-}
-
-// Name identifies the engine.
-func (b *BlockCollaborative) Name() string {
-	return fmt.Sprintf("block-collab-%d", b.Workers)
-}
-
-// Epoch implements mf.Engine.
-func (b *BlockCollaborative) Epoch(f *mf.Factors, train *sparse.COO, h mf.HyperParams) {
-	p := b.Workers
-	if p < 1 {
-		p = 1
-	}
-	side := p + 1 + b.GridExtra
-	if side > train.Rows {
-		side = train.Rows
-	}
-	if side > train.Cols {
-		side = train.Cols
-	}
-	if p == 1 || side < 2 {
-		mf.TrainEntries(f, train.Entries, h)
-		return
-	}
-	grid := b.cachedGrid(train, side)
-	if grid == nil {
-		mf.TrainEntries(f, train.Entries, h)
-		return
-	}
-	sched := newExclusiveScheduler(grid.NBR, grid.NBC)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx, acquisitions, ok := sched.acquire()
-				if !ok {
-					return
-				}
-				b.addAcquisitions(acquisitions)
-				// lint:allow raceguard the exclusive scheduler hands each worker a block whose row/col range no other in-flight block shares, so updates are disjoint by construction.
-				mf.TrainEntries(f, grid.Blocks[idx].Entries, h)
-				sched.release(idx)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-var lockCounterMu sync.Mutex
-
-func (b *BlockCollaborative) addAcquisitions(n int64) {
-	lockCounterMu.Lock()
-	b.LockAcquisitions += n
-	lockCounterMu.Unlock()
-}
-
-func (b *BlockCollaborative) cachedGrid(train *sparse.COO, side int) *sparse.BlockGridded {
-	if b.grid != nil && b.src == train && b.grid.NBR == side {
-		return b.grid
-	}
-	g, err := sparse.NewBlockGrid(train, side, side)
-	if err != nil {
-		return nil
-	}
-	b.grid, b.src = g, train
-	return g
-}
-
-// exclusiveScheduler is the global lock the paper objects to: every block
-// hand-off serialises through it.
-type exclusiveScheduler struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	nbr     int
-	nbc     int
-	done    []bool
-	rowBusy []bool
-	colBusy []bool
-	left    int
-}
-
-func newExclusiveScheduler(nbr, nbc int) *exclusiveScheduler {
-	s := &exclusiveScheduler{
-		nbr: nbr, nbc: nbc,
-		done:    make([]bool, nbr*nbc),
-		rowBusy: make([]bool, nbr),
-		colBusy: make([]bool, nbc),
-		left:    nbr * nbc,
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// acquire returns a free, undone block, the number of lock entries it
-// needed (1 + wake-ups), and ok=false when the epoch has drained.
-func (s *exclusiveScheduler) acquire() (int, int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries := int64(1)
-	for {
-		if s.left == 0 {
-			return 0, entries, false
-		}
-		for br := 0; br < s.nbr; br++ {
-			if s.rowBusy[br] {
-				continue
-			}
-			for bc := 0; bc < s.nbc; bc++ {
-				if s.colBusy[bc] || s.done[br*s.nbc+bc] {
-					continue
-				}
-				idx := br*s.nbc + bc
-				s.done[idx] = true
-				s.rowBusy[br] = true
-				s.colBusy[bc] = true
-				s.left--
-				return idx, entries, true
-			}
-		}
-		entries++
-		s.cond.Wait()
-	}
-}
-
-func (s *exclusiveScheduler) release(idx int) {
-	s.mu.Lock()
-	s.rowBusy[idx/s.nbc] = false
-	s.colBusy[idx%s.nbc] = false
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
 
 // BlockGridTraffic reports the distributed-memory feature traffic of one
 // block-grid epoch in parameters: each of the g² blocks moves its m/g P

@@ -3,7 +3,9 @@
 #
 # Runs, in order:
 #   1. gofmt -l                        — the tree is gofmt-clean
-#   2. go build ./...                  — everything compiles
+#   2. go build ./...                  — everything compiles, including
+#      the perfbench module (its own go.mod, so the root ./... skips it;
+#      built and vetted from its directory)
 #   3. go vet ./...                    — stock vet
 #   4. hccmf-vet ./...                 — the invariant analyzer suite
 #      (simtime, seededrand, panicpolicy, raceguard, errflow, hotalloc,
@@ -60,8 +62,9 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== go build ./..."
+echo "== go build ./... (and the separate perfbench module)"
 go build ./...
+(cd perfbench && go build -o /dev/null ./... && go vet ./...)
 
 echo "== go vet ./..."
 go vet ./...
